@@ -26,7 +26,6 @@ server falls back to the interpreter for that script:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import replace
 from typing import Any
 
 from repro.exec.errors import CompileError
@@ -160,7 +159,7 @@ def _compile_v(step: VStep, provider: GraphProvider) -> _StepKernel:
                 for vid in vids:
                     vertex = Vertex(vid)
                     out.append(
-                        replace(t, obj=vertex, path=t.path + (vertex,))
+                        Traverser(vertex, t.path + (vertex,), t.loops)
                     )
             if out:
                 charge("tuple_vec", len(out))
@@ -271,7 +270,7 @@ def _compile_adjacent(
                         Edge(eid) if step.to_edge else Vertex(other)
                     )
                     out.append(
-                        replace(t, obj=element, path=t.path + (element,))
+                        Traverser(element, t.path + (element,), t.loops)
                     )
             if out:
                 charge("tuple_vec", len(out))
@@ -309,7 +308,7 @@ def _compile_edge_vertex(
                 for vid in targets:
                     vertex = Vertex(vid)
                     out.append(
-                        replace(t, obj=vertex, path=t.path + (vertex,))
+                        Traverser(vertex, t.path + (vertex,), t.loops)
                     )
             if out:
                 charge("tuple_vec", len(out))
@@ -337,7 +336,7 @@ def _compile_values(
                 for key in step.keys:
                     value = props.get(key)
                     if value is not None:
-                        out.append(replace(t, obj=value))
+                        out.append(Traverser(value, t.path, t.loops))
             if out:
                 charge("tuple_vec", len(out))
             yield out
@@ -356,7 +355,9 @@ def _compile_value_map(
             if not fused:
                 charge("vector_setup")
             out = [
-                replace(t, obj=dict(_element_props(t.obj, provider)))
+                Traverser(
+                    dict(_element_props(t.obj, provider)), t.path, t.loops
+                )
                 for t in batch
             ]
             if out:
@@ -374,7 +375,7 @@ def _compile_id(fused: bool = False) -> _StepKernel:
             tick_batch(len(batch))
             if not fused:
                 charge("vector_setup")
-            out = [replace(t, obj=t.obj.id) for t in batch]
+            out = [Traverser(t.obj.id, t.path, t.loops) for t in batch]
             if out:
                 charge("tuple_vec", len(out))
             yield out
@@ -441,7 +442,7 @@ def _compile_path(fused: bool = False) -> _StepKernel:
             tick_batch(len(batch))
             if not fused:
                 charge("vector_setup")
-            out = [replace(t, obj=tuple(t.path)) for t in batch]
+            out = [Traverser(tuple(t.path), t.path, t.loops) for t in batch]
             if out:
                 charge("tuple_vec", len(out))
             yield out

@@ -1,14 +1,18 @@
 """Record stores: nodes, relationships, properties.
 
-Layout mirrors Neo4j:
+The logical layout mirrors Neo4j: a node record carries labels and a
+property pointer, a relationship record its type, start node and end
+node, and a node's relationships form its chain, newest first.  Walking
+a node's relationships is index-free adjacency: no index is involved,
+and the walk is priced one ``record_read`` per chain hop.
 
-* node record: first relationship id + labels + property pointer
-* relationship record: type, start node, end node, and *two* "next"
-  pointers threading the record into the start node's chain and the end
-  node's chain
-
-Walking a node's relationships follows its chain, one ``record_read`` per
-hop — no index involved.  Property access charges ``value_cpu`` per value.
+Physically the chain is packed per node (the representation RedisGraph
+uses, arXiv 1905.01294): each node keeps the ids of its relationships in
+insertion order — a chain walk reads the list from the end — plus, per
+relationship type, the positions of that type's entries in the list.  A
+typed walk visits only its type's entries yet charges every hop of the
+chain it stands for, so the simulated clock is unchanged.  Property
+access charges ``value_cpu`` per value.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from repro.storage.hashindex import HashIndex
 from repro.storage.mvcc import VersionStore
 from repro.txn import oracle
 
-NO_REL = -1
-
-
 class Direction(enum.Enum):
     OUT = "out"
     IN = "in"
@@ -37,10 +38,13 @@ class Direction(enum.Enum):
 
 @dataclass
 class _NodeRecord:
-    first_rel: int = NO_REL
     labels: tuple[str, ...] = ()
     props: dict[str, Any] = field(default_factory=dict)
     deleted: bool = False
+    #: relationship ids, oldest first (a self-loop is listed once)
+    rels: list[int] = field(default_factory=list)
+    #: relationship type -> positions of its entries in ``rels``
+    by_type: dict[str, list[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -48,8 +52,6 @@ class _RelRecord:
     rel_type: str
     start: int
     end: int
-    start_next: int = NO_REL
-    end_next: int = NO_REL
     props: dict[str, Any] = field(default_factory=dict)
     deleted: bool = False
 
@@ -185,20 +187,20 @@ class GraphStore:
     ) -> int:
         start_record = self._node(start)
         end_record = self._node(end)
-        charge("record_write", 3)  # rel record + two chain head updates
+        charge("record_write", 3)  # Neo4j: rel record + two chain heads
         rel_id = len(self._rels)
-        record = _RelRecord(
-            rel_type=rel_type,
-            start=start,
-            end=end,
-            start_next=start_record.first_rel,
-            end_next=end_record.first_rel,
-            props=dict(props or {}),
+        self._rels.append(
+            _RelRecord(rel_type, start, end, props=dict(props or {}))
         )
-        self._rels.append(record)
         self.mvcc.stamp(("rel", rel_id))
-        start_record.first_rel = rel_id
-        end_record.first_rel = rel_id
+        for record in (
+            (start_record,) if start == end else (start_record, end_record)
+        ):
+            positions = record.by_type.get(rel_type)
+            if positions is None:
+                positions = record.by_type[rel_type] = []
+            positions.append(len(record.rels))
+            record.rels.append(rel_id)
         self.rel_count += 1
         self._invalidate_neighborhoods((start, end))
         if runtime.TRACE is not None:
@@ -306,35 +308,47 @@ class GraphStore:
         rel_type: str | None = None,
         direction: Direction = Direction.BOTH,
     ) -> Iterator[tuple[int, int]]:
-        """Yield ``(rel_id, other_node_id)`` by walking the record chain."""
-        self._node(node_id)  # existence + visibility check
+        """Yield ``(rel_id, other_node_id)`` in chain order, newest first.
+
+        Only ``rel_type``'s entries are visited, but the walk is priced as
+        the whole record chain: before each yield, one ``record_read`` per
+        hop since the previous one; once exhausted, the rest of the chain.
+        A walk abandoned early charges exactly the hops it got through.
+        """
+        record = self._node(node_id)  # existence + visibility check
         if runtime.TRACE is not None:
             runtime.TRACE.read(("node", node_id))
-        rel_id = self._nodes[node_id].first_rel
-        while rel_id != NO_REL:
-            record = self._rels[rel_id]
-            charge("record_read")
-            is_loop = record.start == node_id and record.end == node_id
-            if record.start == node_id:
-                next_id = record.start_next
-                is_out = True
-                other = record.end
+        chain = record.rels
+        unpriced = len(chain)  # positions >= this are charged
+        positions = (
+            range(unpriced - 1, -1, -1)
+            if rel_type is None
+            else reversed(record.by_type.get(rel_type, ()))
+        )
+        rels = self._rels
+        mvcc = self.mvcc
+        check = not mvcc.all_visible()
+        in_only = direction is Direction.IN
+        out_only = direction is Direction.OUT
+        for position in positions:
+            rel_id = chain[position]
+            rel = rels[rel_id]
+            if rel.deleted or (check and not mvcc.visible(("rel", rel_id))):
+                continue
+            if rel.start == node_id:
+                if in_only and rel.end != node_id:
+                    continue
+                other = rel.end
+            elif out_only:
+                continue
             else:
-                next_id = record.end_next
-                is_out = False
-                other = record.start
-            if (
-                not record.deleted
-                and (rel_type is None or record.rel_type == rel_type)
-                and self.mvcc.visible(("rel", rel_id))
-            ):
-                if is_loop or (
-                    direction is Direction.BOTH
-                    or (direction is Direction.OUT and is_out)
-                    or (direction is Direction.IN and not is_out)
-                ):
-                    yield rel_id, other
-            rel_id = next_id
+                other = rel.start
+            charge("record_read", unpriced - position)
+            unpriced = position
+            yield rel_id, other
+            check = not mvcc.all_visible()
+        if unpriced:
+            charge("record_read", unpriced)
 
     def degree(
         self,

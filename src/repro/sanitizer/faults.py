@@ -25,7 +25,9 @@ write-skew          QA605    two snapshot transactions each read what
 dangling-edge       QA701    an edge/FK row pointing at entities that
                              don't exist
 index-skew          QA702    an index entry surgically removed (or a
-                             bogus one planted) behind the store's back
+                             bogus one planted) behind the store's back;
+                             on a property graph also a relationship
+                             threaded twice into a node's adjacency
 skip-invalidation   QA703    an edge insert with the cache-invalidation
                              hook disabled, leaving a stale neighborhood
 skip-fsync          QA704    a modification appended to the WAL but
@@ -370,11 +372,21 @@ def _drop_pk_index_entry(db: Database, table_name: str) -> None:
 
 
 def _index_skew_graph(store: GraphStore) -> None:
-    for label, ids in store._label_index.items():
-        for node_id in sorted(ids):
-            ids.discard(node_id)
+    for ids in store._label_index.values():
+        if ids:
+            ids.discard(min(ids))
+            break
+    else:
+        raise LookupError("label index is empty")
+    # adjacency drift: the first live relationship threaded a second
+    # time into its start node's packed list (and that list's type index)
+    for rel_id, record in enumerate(store._rels):
+        if not record.deleted:
+            node = store._nodes[record.start]
+            node.by_type[record.rel_type].append(len(node.rels))
+            node.rels.append(rel_id)
             return
-    raise LookupError("label index is empty")
+    raise LookupError("graph store has no relationships")
 
 
 def _index_skew_rdf(store: TripleStore) -> None:

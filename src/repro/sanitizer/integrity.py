@@ -392,7 +392,77 @@ def _audit_graph_store(store: GraphStore) -> list[Diagnostic]:
                     )
                 )
 
+    diagnostics += _audit_adjacency(store)
     diagnostics += _audit_neighborhood_cache(store)
+    return diagnostics
+
+
+def _audit_adjacency(store: GraphStore) -> list[Diagnostic]:
+    """QA702: the packed adjacency lists against the relationship store.
+
+    Each live relationship is listed exactly once by each endpoint (once
+    in all for a self-loop), a list holds only relationships touching its
+    node, and the per-type positions cover the list exactly once, each
+    pointing at a relationship of its type.
+    """
+    diagnostics: list[Diagnostic] = []
+    rels = store._rels
+    listed: dict[tuple[int, int], int] = {}
+    for node_id, node in enumerate(store._nodes):
+        loc = _loc(f"integrity:adjacency:{node_id}")
+        type_at: dict[int, str] = {}
+        for position, rel_id in enumerate(node.rels):
+            listed[node_id, rel_id] = listed.get((node_id, rel_id), 0) + 1
+            if 0 <= rel_id < len(rels):
+                type_at[position] = rels[rel_id].rel_type
+            if position not in type_at or node_id not in (
+                rels[rel_id].start,
+                rels[rel_id].end,
+            ):
+                diagnostics.append(
+                    make(
+                        "QA702",
+                        f"node {node_id}'s adjacency lists rel {rel_id}, "
+                        f"which does not touch it",
+                        loc,
+                    )
+                )
+        covered: list[int] = []
+        for rel_type, positions in node.by_type.items():
+            covered += positions
+            for position in positions:
+                if type_at.get(position) != rel_type:
+                    diagnostics.append(
+                        make(
+                            "QA702",
+                            f"node {node_id}'s {rel_type} index position "
+                            f"{position} is not a {rel_type} relationship",
+                            loc,
+                        )
+                    )
+        if sorted(covered) != list(range(len(node.rels))):
+            diagnostics.append(
+                make(
+                    "QA702",
+                    f"node {node_id}'s type index does not cover its "
+                    f"{len(node.rels)} adjacency entries exactly once",
+                    loc,
+                )
+            )
+    for rel_id, record in enumerate(rels):
+        if record.deleted:
+            continue
+        for endpoint in dict.fromkeys((record.start, record.end)):
+            count = listed.get((endpoint, rel_id), 0)
+            if count != 1:
+                diagnostics.append(
+                    make(
+                        "QA702",
+                        f"rel {rel_id} ({record.rel_type}) appears "
+                        f"{count} times in node {endpoint}'s adjacency",
+                        _loc(f"integrity:adjacency:{endpoint}"),
+                    )
+                )
     return diagnostics
 
 

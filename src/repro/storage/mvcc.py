@@ -179,13 +179,24 @@ class VersionStore:
         # current value too new: visible only if an older version covers
         return self._covering(key, read_ts) is not None
 
+    def all_visible(self) -> bool:
+        """Whether :meth:`visible` is True, and free, for every key now.
+
+        True when nothing is tombstoned and either no snapshot is active
+        or the store has no stamps: a reader may then skip per-record
+        visibility calls without changing its answers or its ledger.
+        """
+        return not self._tombstones and (
+            oracle.CURRENT is None or not self._stamps
+        )
+
     def filter_visible(self, keys: list[Any]) -> list[Any]:
         """Drop keys the current view must not see (index probe results).
 
-        Returns the input list unchanged (no copy) in the common case of
-        no snapshot and no deferred deletes.
+        Returns the input list unchanged (no copy) whenever
+        :meth:`all_visible` holds.
         """
-        if oracle.CURRENT is None and not self._tombstones:
+        if self.all_visible():
             return keys
         return [k for k in keys if self.visible(k)]
 

@@ -14,7 +14,7 @@ count, order/by, repeat/times/until/emit, addV, addE/to/from_, property``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.simclock.costmodel import CostModel
@@ -222,22 +222,22 @@ class VStep(Step):
             self._tick()
             if self.vid is not None:
                 vertex = Vertex(self.vid)
-                yield replace(
-                    traverser, obj=vertex, path=traverser.path + (vertex,)
+                yield Traverser(
+                    vertex, traverser.path + (vertex,), traverser.loops
                 )
             elif self.index_key is not None:
                 for vid in provider.lookup(
                     self.label, self.index_key, self.index_value
                 ):
                     vertex = Vertex(vid)
-                    yield replace(
-                        traverser, obj=vertex, path=traverser.path + (vertex,)
+                    yield Traverser(
+                        vertex, traverser.path + (vertex,), traverser.loops
                     )
             else:
                 for vid in provider.vertices(self.label):
                     vertex = Vertex(vid)
-                    yield replace(
-                        traverser, obj=vertex, path=traverser.path + (vertex,)
+                    yield Traverser(
+                        vertex, traverser.path + (vertex,), traverser.loops
                     )
 
 
@@ -311,10 +311,8 @@ class AdjacentStep(Step):
                 obj.id, self.direction, self.label
             ):
                 element = Edge(eid) if self.to_edge else Vertex(other)
-                yield replace(
-                    traverser,
-                    obj=element,
-                    path=traverser.path + (element,),
+                yield Traverser(
+                    element, traverser.path + (element,), traverser.loops
                 )
 
 
@@ -346,8 +344,8 @@ class EdgeVertexStep(Step):
                 targets = [in_vid if prev == out_vid else out_vid]
             for vid in targets:
                 vertex = Vertex(vid)
-                yield replace(
-                    traverser, obj=vertex, path=traverser.path + (vertex,)
+                yield Traverser(
+                    vertex, traverser.path + (vertex,), traverser.loops
                 )
 
 
@@ -364,7 +362,7 @@ class ValuesStep(Step):
             for key in self.keys:
                 value = props.get(key)
                 if value is not None:
-                    yield replace(traverser, obj=value)
+                    yield Traverser(value, traverser.path, traverser.loops)
 
 
 class ValueMapStep(Step):
@@ -373,8 +371,10 @@ class ValueMapStep(Step):
     ) -> Iterator[Traverser]:
         for traverser in traversers:
             self._tick()
-            yield replace(
-                traverser, obj=dict(_element_props(traverser.obj, provider))
+            yield Traverser(
+                dict(_element_props(traverser.obj, provider)),
+                traverser.path,
+                traverser.loops,
             )
 
 
@@ -384,7 +384,7 @@ class IdStep(Step):
     ) -> Iterator[Traverser]:
         for traverser in traversers:
             self._tick()
-            yield replace(traverser, obj=traverser.obj.id)
+            yield Traverser(traverser.obj.id, traverser.path, traverser.loops)
 
 
 class DedupStep(Step):
@@ -419,7 +419,9 @@ class PathStep(Step):
     ) -> Iterator[Traverser]:
         for traverser in traversers:
             self._tick()
-            yield replace(traverser, obj=tuple(traverser.path))
+            yield Traverser(
+                tuple(traverser.path), traverser.path, traverser.loops
+            )
 
 
 class LimitStep(Step):
@@ -493,9 +495,10 @@ class RepeatStep(Step):
             next_frontier: list[Traverser] = []
             for traverser in frontier:
                 self._tick()
-                for result in self.body._apply_to(
-                    replace(traverser, loops=traverser.loops + 1), provider
-                ):
+                looped = Traverser(
+                    traverser.obj, traverser.path, traverser.loops + 1
+                )
+                for result in self.body._apply_to(looped, provider):
                     if self.until is not None and self._test(
                         result, provider
                     ):
@@ -531,8 +534,8 @@ class AddVStep(Step):
             self._tick()
             vid = provider.create_vertex(self.label, dict(self.props))
             vertex = Vertex(vid)
-            yield replace(
-                traverser, obj=vertex, path=traverser.path + (vertex,)
+            yield Traverser(
+                vertex, traverser.path + (vertex,), traverser.loops
             )
 
 
@@ -559,7 +562,7 @@ class AddEStep(Step):
                 self.label, out_v.id, in_v.id, dict(self.props)
             )
             edge = Edge(eid)
-            yield replace(traverser, obj=edge, path=traverser.path + (edge,))
+            yield Traverser(edge, traverser.path + (edge,), traverser.loops)
 
 
 class PropertyStep(Step):

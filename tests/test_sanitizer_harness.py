@@ -14,8 +14,10 @@ import pytest
 
 from repro.cli import main
 from repro.core import SUT_KEYS
+from repro.graphdb import GraphStore
 from repro.sanitizer.faults import FAULTS
 from repro.sanitizer.harness import run_sanitize
+from repro.sanitizer.integrity import _audit_graph_store as audit_graph_store
 from repro.snb import GeneratorConfig, generate
 
 SMALL = ["--scale-factor", "3", "--scale-divisor", "10000", "--seed", "3"]
@@ -85,6 +87,34 @@ class TestInjectedFaultsAreCaught:
             str(d) for d in report.diagnostics
         ]
         assert report.ok
+
+    def test_graph_index_skew_reports_adjacency_drift(self, dataset):
+        report = _run(dataset, "neo4j-cypher", inject_mode="index-skew")
+        drift = [
+            d for d in report.diagnostics
+            if d.location.operation.startswith("integrity:adjacency:")
+        ]
+        assert [d.code for d in drift] == ["QA702"], [
+            str(d) for d in report.diagnostics
+        ]
+        assert "appears 2 times" in drift[0].message
+
+    def test_adjacency_audit_checks_lists_and_type_index(self):
+        store = GraphStore()
+        a, b, c = (store.create_node(["V"], {}) for _ in range(3))
+        store.create_rel("KNOWS", a, b)
+        store.create_rel("LIKES", b, b)  # a self-loop is listed once
+        assert audit_graph_store(store) == []
+        store._nodes[c].rels.append(0)  # rel 0 does not touch c
+        store._nodes[c].by_type["KNOWS"] = [0]
+        store._nodes[b].by_type["KNOWS"] = [1]  # position 1 is LIKES
+        messages = [d.message for d in audit_graph_store(store)]
+        assert messages == [
+            "node 1's KNOWS index position 1 is not a KNOWS relationship",
+            "node 1's type index does not cover its 2 adjacency entries "
+            "exactly once",
+            "node 2's adjacency lists rel 0, which does not touch it",
+        ]
 
     def test_unknown_mode_is_rejected(self, dataset):
         with pytest.raises(ValueError, match="unknown fault mode"):
