@@ -52,7 +52,7 @@ QA805    cache-writing code path with no matching epoch/dependency
 QA806    snapshot-bypassing raw read on a versioned store (a reader
          touches record containers or probes an unversioned secondary
          index without consulting the MVCC visibility layer /
-         ``stale_keys`` index-fixup discipline)
+         ``VersionStore.index_hits`` snapshot correction)
 QA807    storage mutation without version stamping: a member of a
          VersionStore-owning class mutates a record container but
          never stamps/records the change for snapshot readers

@@ -6,11 +6,11 @@ owns a :class:`~repro.storage.mvcc.VersionStore` is abstracted to a
 point in a small effect lattice over its storage objects —
 
 * reads: RAW (subscript/iteration/probe of a record container with no
-  visibility consultation) < VERSIONED (a ``visible``/``filter_visible``
+  visibility consultation) < VERSIONED (a ``visible``/``index_hits``
   /``read``/``stale`` call dominates, possibly in a callee);
 * index probes: UNFIXED (index hits served as-is) < FIXED (the probe
-  transitively reaches ``stale_keys``, the re-check discipline for
-  unversioned index entries);
+  transitively reaches ``VersionStore.index_hits``, the one snapshot
+  correction for unversioned index entries);
 * writes: UNSTAMPED < STAMPED (``stamp``/``record_update``/
   ``record_delete``/... reachable);
 * cache ops: UNGATED < GATED (``stale_reads``/``stale`` consulted);
@@ -25,7 +25,7 @@ lattice bottom.
 ========  ============================================================
 QA806     snapshot-bypassing raw read on a versioned store: a pure
           reader touches record containers (or probes a secondary
-          index without the ``stale_keys`` fixup — index entries are
+          index without ``index_hits`` — index entries are
           unversioned, DESIGN §13) outside the visibility layer.
 QA807     mutation without version stamping: a record container is
           mutated on a path that never reaches a version write, so
@@ -60,7 +60,7 @@ from repro.analysis.program.summaries import (
 #: store attr) means the function consults the visibility layer
 VERSION_READ_METHODS = {
     "visible",
-    "filter_visible",
+    "index_hits",
     "read",
     "stale",
     "stale_keys",
@@ -99,7 +99,7 @@ READ_ACCESSORS = {
 }
 
 #: index-probe accessors (rule B of QA806): their results come from
-#: *unversioned* index entries and need the ``stale_keys`` fixup
+#: *unversioned* index entries and must go through ``index_hits``
 PROBE_ACCESSORS = {"search", "range_scan"}
 
 #: cache operations that must be staleness-gated (fills and hits);
@@ -357,7 +357,7 @@ def pass_snapshot_bypass(
             ref
             for ref, summary in program.summaries.items()
             if any(
-                e.kind == "call" and e.callee == "stale_keys"
+                e.kind == "call" and e.callee == "index_hits"
                 for e in summary.events
             )
         },
@@ -379,13 +379,13 @@ def pass_snapshot_bypass(
                     make(
                         "QA806",
                         f"{member.ref} serves results from an "
-                        f"unversioned secondary index without the "
-                        f"stale_keys() fixup; under a held snapshot, "
-                        f"entries re-filed by later writers make the "
-                        f"probe miss rows the snapshot must see (and "
-                        f"surface rows it must not) — re-check stale "
-                        f"keys against the snapshot-visible value, or "
-                        f"fall back to a scan",
+                        f"unversioned secondary index without "
+                        f"VersionStore.index_hits(); under a held "
+                        f"snapshot, entries re-filed by later writers "
+                        f"make the probe miss rows the snapshot must see "
+                        f"(and surface rows it must not) — pass the hits "
+                        f"through index_hits() (its stale_keys() re-check "
+                        f"is the one correction), or fall back to a scan",
                         _location(member.ref),
                     )
                 )
@@ -404,7 +404,7 @@ def pass_snapshot_bypass(
                     make(
                         "QA806",
                         f"{member.ref} reads record container(s) "
-                        f"{touched} raw — no visible()/filter_visible"
+                        f"{touched} raw — no visible()/index_hits"
                         f"()/read()/stale() on {cf.class_name}'s "
                         f"version store dominates the access, so a "
                         f"snapshot reader would observe "

@@ -122,39 +122,24 @@ class GraphStore:
     def lookup(self, label: str, prop: str, value: Any) -> list[int]:
         """Node ids with ``label`` and ``prop == value`` (index required).
 
-        Index entries are unversioned, so under a held snapshot a
-        ``set_node_prop`` that moved an entry could make the probe miss
-        the row the snapshot still sees (or surface one it must not).
-        The at-risk node ids are exactly the stamped-after-snapshot keys
-        (``mvcc.stale_keys()``): hits among them are re-checked against
-        their snapshot property map, and stale visible nodes whose
-        snapshot value matches are recovered.
+        Snapshot-corrected by :meth:`VersionStore.index_hits`.
         """
         index = self._indexes.get((label, prop))
         if index is None:
             raise KeyError(f"no index on :{label}({prop})")
-        hits = self.mvcc.filter_visible(index.search(value))
-        stale = [k for k in self.mvcc.stale_keys() if isinstance(k, int)]
-        if not stale:
-            return hits
-        kept = []
-        for node_id in hits:
-            if self.mvcc.stale(node_id):
-                props = self.mvcc.read(node_id, self._nodes[node_id].props)
-                if props.get(prop) != value:
-                    continue
-            kept.append(node_id)
-        seen = set(kept)
-        for node_id in stale:
-            if node_id in seen or not self.mvcc.visible(node_id):
-                continue
+
+        def snapshot_value(node_id: int) -> Any:
             record = self._nodes[node_id]
             if label not in record.labels:  # labels are immutable
-                continue
-            props = self.mvcc.read(node_id, record.props)
-            if props.get(prop) == value:
-                kept.append(node_id)
-        return kept
+                return None
+            return self.mvcc.read(node_id, record.props).get(prop)
+
+        return self.mvcc.index_hits(
+            index.search(value),
+            snapshot_value,
+            lambda v: v == value,
+            owns=_is_node_key,
+        )
 
     def has_index(self, label: str, prop: str) -> bool:
         return (label, prop) in self._indexes
@@ -551,3 +536,8 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, (list, tuple)):
         return sum(_value_bytes(v) for v in value)
     return 8
+
+
+def _is_node_key(key: Any) -> bool:
+    """Node ids key the version store; relationships use tuples."""
+    return isinstance(key, int)

@@ -15,7 +15,7 @@ adds B+tree or hash secondaries.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.sanitizer import runtime
@@ -314,15 +314,10 @@ class Table:
         Duplicate keys are probed once — the batch executor's join
         kernels routinely see repeated outer keys within one batch.
         """
-        index = self._indexes.get(column)
-        if index is None:
+        if column not in self._indexes:
             raise KeyError(f"no index on {self.name}.{column}")
         return {
-            value: self._snapshot_index_fixup(
-                column,
-                self.mvcc.filter_visible(index.search(value)),
-                lambda v, want=value: v == want,
-            )
+            value: self.lookup(column, value)
             for value in dict.fromkeys(values)
         }
 
@@ -358,45 +353,18 @@ class Table:
         index = self._indexes.get(column)
         if index is None:
             raise KeyError(f"no index on {self.name}.{column}")
-        hits = self.mvcc.filter_visible(index.search(value))
-        return self._snapshot_index_fixup(column, hits, lambda v: v == value)
+        return self.mvcc.index_hits(
+            index.search(value),
+            self._snapshot_value(column),
+            lambda v: v == value,
+        )
 
-    def _snapshot_index_fixup(
-        self,
-        column: str,
-        hits: list[Any],
-        matches: Any,
-    ) -> list[Any]:
-        """Re-check index hits against the snapshot-visible column value.
-
-        Index entries are unversioned: an update after the snapshot began
-        re-files the entry under the new value, so a probe by the old
-        value misses the row (false negative) and a probe by the new
-        value returns a handle whose snapshot row doesn't match (false
-        positive).  The keys at risk are exactly ``mvcc.stale_keys()`` —
-        every hit among them is value-checked against its snapshot row,
-        and every stale visible row missing from ``hits`` is recovered if
-        its snapshot value satisfies the predicate.
-        """
-        stale = self.mvcc.stale_keys()
-        if not stale:
-            return hits
+    def _snapshot_value(self, column: str) -> Callable[[Any], Any]:
+        """``column``'s value in a row as the current view sees it."""
         pos = self._col_pos[column]
-        kept = []
-        for handle in hits:
-            if self.mvcc.stale(handle):
-                row = self.mvcc.read(handle, self._fetch_raw(handle))
-                if not matches(row[pos]):
-                    continue
-            kept.append(handle)
-        seen = set(kept)
-        for handle in stale:
-            if handle in seen or not self.mvcc.visible(handle):
-                continue
-            row = self.mvcc.read(handle, self._fetch_raw(handle))
-            if row[pos] is not None and matches(row[pos]):
-                kept.append(handle)
-        return kept
+        return lambda handle: self.mvcc.read(
+            handle, self._fetch_raw(handle)
+        )[pos]
 
     def range_lookup(
         self, column: str, lo: Any, hi: Any, *, hi_inclusive: bool = True
@@ -409,13 +377,14 @@ class Table:
             for _key, handle in index.range_scan(
                 lo, hi, hi_inclusive=hi_inclusive
             )
-            if self.mvcc.visible(handle)
         ]
         if hi_inclusive:
             in_range = lambda v: lo <= v <= hi  # noqa: E731
         else:
             in_range = lambda v: lo <= v < hi  # noqa: E731
-        yield from self._snapshot_index_fixup(column, hits, in_range)
+        yield from self.mvcc.index_hits(
+            hits, self._snapshot_value(column), in_range
+        )
 
     # -- stats --------------------------------------------------------------------
 

@@ -190,16 +190,6 @@ class VersionStore:
             oracle.CURRENT is None or not self._stamps
         )
 
-    def filter_visible(self, keys: list[Any]) -> list[Any]:
-        """Drop keys the current view must not see (index probe results).
-
-        Returns the input list unchanged (no copy) whenever
-        :meth:`all_visible` holds.
-        """
-        if self.all_visible():
-            return keys
-        return [k for k in keys if self.visible(k)]
-
     def stale(self, key: Key) -> bool:
         """Whether the current view must chain-walk past ``key``'s value.
 
@@ -216,18 +206,58 @@ class VersionStore:
     def stale_keys(self) -> list[Key]:
         """Keys whose latest value was stamped after the current view began.
 
-        These are exactly the keys whose secondary-index entries may have
-        *moved* since the snapshot started (an update re-files the entry
-        under the new indexed value): index lookups re-check them against
-        the snapshot-visible value to drop false positives and recover
-        rows whose old-value entries are gone.  Empty when no snapshot is
-        active, so snapshot-free operation pays nothing.
+        Empty when no snapshot is active, so snapshot-free operation pays
+        nothing; :meth:`index_hits` re-checks these keys.
         """
         snapshot = oracle.CURRENT
         if snapshot is None or not self._stamps:
             return []
         read_ts = snapshot.read_ts
         return [k for k, ts in self._stamps.items() if ts > read_ts]
+
+    def index_hits(
+        self,
+        hits: list[Key],
+        value_of: Callable[[Key], Any],
+        matches: Callable[[Any], bool],
+        owns: Callable[[Key], bool] | None = None,
+    ) -> list[Key]:
+        """One secondary-index probe's hits, corrected for the current view.
+
+        Index entries are unversioned: an update after the snapshot began
+        re-files the entry under the new value, so a probe misses rows the
+        snapshot still sees and surfaces rows it must not.  Only the
+        entries of :meth:`stale_keys` (narrowed by ``owns``) can have
+        moved: a stale hit is kept only if its snapshot value ``matches``,
+        and a visible stale key missing from the hits is recovered if its
+        value does.  ``value_of(key)`` is that value, or None when the key
+        has no entry in this index (another label, say); a None value
+        never matches, as indexes hold no NULL entries.  Surviving hits
+        come first, then recovered keys in :meth:`stale_keys` order.
+        """
+        stale = self.stale_keys()
+        if not self.all_visible():
+            hits = [k for k in hits if self.visible(k)]
+        if not stale:
+            return hits
+        kept = []
+        for key in hits:
+            if self.stale(key):
+                value = value_of(key)
+                if value is None or not matches(value):
+                    continue
+            kept.append(key)
+        # a dropped hit stays a recovery candidate, and a candidate's
+        # value_of() runs after visible(): the ledgers price both reads
+        seen = set(kept)
+        for key in stale:
+            if key in seen or (owns is not None and not owns(key)):
+                continue
+            if self.visible(key):
+                value = value_of(key)
+                if value is not None and matches(value):
+                    kept.append(key)
+        return kept
 
     def read(self, key: Key, current_value: Any) -> Any:
         """The value of ``key`` as of the current view.

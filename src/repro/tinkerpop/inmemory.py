@@ -50,40 +50,22 @@ class TinkerGraphProvider(GraphProvider):
     def lookup(self, label: str, key: str, value: Any) -> list[Any]:
         """Vertex ids with ``label`` and ``key == value`` via the index.
 
-        Index entries are unversioned; under a held snapshot a
-        ``set_vertex_prop`` after the snapshot began may have re-filed an
-        entry, so stamped-after-snapshot vertices (``mvcc.stale_keys()``)
-        are re-checked against their snapshot-visible property map.
+        Snapshot-corrected by :meth:`VersionStore.index_hits`.
         """
         charge("hash_probe")
         index = self._indexes.get((label, key))
         if index is None:
             raise KeyError(f"no index on {label}.{key}")
-        hits = [
-            v for v in index.get(value, ()) if self.mvcc.visible(("v", v))
-        ]
-        stale = [k for k in self.mvcc.stale_keys() if k[0] == "v"]
-        if not stale:
-            return hits
-        kept = []
-        for vid in hits:
-            if self.mvcc.stale(("v", vid)):
-                props = self.mvcc.read(("v", vid), self._vertex_props[vid])
-                if props.get(key) != value:
-                    continue
-            kept.append(vid)
-        seen = set(kept)
-        for _, vid in stale:
-            if (
-                vid in seen
-                or self._vertex_labels.get(vid) != label
-                or not self.mvcc.visible(("v", vid))
-            ):
-                continue
-            props = self.mvcc.read(("v", vid), self._vertex_props[vid])
-            if props.get(key) == value:
-                kept.append(vid)
-        return kept
+        hits = self.mvcc.index_hits(
+            [("v", vid) for vid in index.get(value, ())],
+            lambda k: self.mvcc.read(k, self._vertex_props[k[1]]).get(key),
+            lambda v: v == value,
+            # every hit carries the label, so testing it here (before
+            # visible()) narrows only the recovery candidates
+            owns=lambda k: k[0] == "v"
+            and self._vertex_labels.get(k[1]) == label,
+        )
+        return [vid for _, vid in hits]
 
     # -- reads --------------------------------------------------------------------
 

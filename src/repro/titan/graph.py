@@ -252,42 +252,29 @@ class TitanProvider(GraphProvider):
     def lookup(self, label: str, key: str, value: Any) -> list[Any]:
         """Vertex ids via the composite index, snapshot-corrected.
 
-        Index rows are unversioned: a ``set_vertex_prop`` after the
-        current snapshot began re-filed the ``i:`` entry, so vertices
-        stamped after the snapshot (``mvcc.stale_keys()``) are
-        re-checked against their covering chain version — every such
-        version walk bypasses the current index row entirely.
+        See :meth:`VersionStore.index_hits`.
         """
         if (label, key) not in self._indexed:
             raise KeyError(f"no Titan index on {label}.{key}")
         prefix = f"i:{label}:{key}:{_encode_value(value)}:"
-        vids = [
-            int(entry_key.rsplit(":", 1)[1])
-            for entry_key, _ in self._scan(prefix)
-        ]
-        hits = [vid for vid in vids if self.mvcc.visible(("v", vid))]
-        stale = [k for k in self.mvcc.stale_keys() if k[0] == "v"]
-        if not stale:
-            return hits
-        kept = []
-        for vid in hits:
-            if self.mvcc.stale(("v", vid)):
-                # chain-covered read: current value is never consulted
-                record = self.mvcc.read(("v", vid), None)
-                if record["props"].get(key) != value:
-                    continue
-            kept.append(vid)
-        seen = set(kept)
-        for _, vid in stale:
-            if vid in seen or not self.mvcc.visible(("v", vid)):
-                continue
-            record = self.mvcc.read(("v", vid), None)
-            if (
-                record["label"] == label
-                and record["props"].get(key) == value
-            ):
-                kept.append(vid)
-        return kept
+
+        def snapshot_value(k: tuple[str, int]) -> Any:
+            # only stale keys get here: the chain version covers them
+            record = self.mvcc.read(k, None)
+            if record["label"] != label:
+                return None
+            return record["props"].get(key)
+
+        hits = self.mvcc.index_hits(
+            [
+                ("v", int(entry_key.rsplit(":", 1)[1]))
+                for entry_key, _ in self._scan(prefix)
+            ],
+            snapshot_value,
+            lambda v: v == value,
+            owns=lambda k: k[0] == "v",
+        )
+        return [vid for _, vid in hits]
 
     # -- stats -------------------------------------------------------------------------------
 

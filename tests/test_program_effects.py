@@ -11,8 +11,9 @@ Layers, mirroring ``test_program_analysis.py``:
   graphs and still propagate facts through the cycle;
 * the real engine tree is silent for QA806–QA810 modulo the committed
   justified baseline, and QA806 catches the DESIGN §13 pre-fix shape
-  (an index lookup with visibility filtering but no ``stale_keys``
-  re-check).
+  (an index lookup with visibility filtering but no snapshot
+  correction) — also when the lookup hand-rolls its own ``stale_keys``
+  loop instead of going through ``VersionStore.index_hits``.
 """
 
 from repro.analysis.program import (
@@ -80,12 +81,23 @@ class Store:
 
     def lookup(self, value):
         hits = self._name_index.get(value, [])
-        return self.mvcc.filter_visible(hits)
+        return [key for key in hits if self.mvcc.visible(key)]
 '''
 
 QA806_INDEX_OK = QA806_INDEX_BAD.replace(
-    "        return self.mvcc.filter_visible(hits)",
-    "        visible = self.mvcc.filter_visible(hits)\n"
+    "        return [key for key in hits if self.mvcc.visible(key)]",
+    "        return self.mvcc.index_hits(\n"
+    "            hits,\n"
+    "            lambda key: self.mvcc.read(key, self._rows.get(key)),\n"
+    "            lambda row: row == value,\n"
+    "        )",
+)
+
+# a private re-check loop over stale_keys() is a second copy of the
+# correction, free to drift from it: QA806 asks for index_hits instead
+QA806_INDEX_HAND_ROLLED = QA806_INDEX_BAD.replace(
+    "        return [key for key in hits if self.mvcc.visible(key)]",
+    "        visible = [key for key in hits if self.mvcc.visible(key)]\n"
     "        for key in self.mvcc.stale_keys():\n"
     "            visible = self._fixup(key, value, visible)\n"
     "        return visible",
@@ -118,10 +130,18 @@ class TestSnapshotBypassPass:
         )
         assert codes(diags) == ["QA806"]
         assert "Store.lookup" in diags[0].location.operation
-        assert "stale_keys" in diags[0].message
+        assert "index_hits" in diags[0].message
 
     def test_stale_keys_fixup_clears_the_probe(self):
+        # the stale_keys() re-check, reached through index_hits()
         assert all_pass_codes(QA806_INDEX_OK) == []
+
+    def test_hand_rolled_stale_keys_loop_fires(self):
+        diags = analyze_program_sources(
+            {"fixture.py": QA806_INDEX_HAND_ROLLED}, passes=EFFECT_PASSES
+        )
+        assert codes(diags) == ["QA806"]
+        assert "Store.lookup" in diags[0].location.operation
 
     def test_writers_may_read_their_own_containers_raw(self):
         # insert/update read _rows raw in both fixtures; as version
